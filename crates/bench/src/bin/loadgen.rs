@@ -59,7 +59,10 @@
 //! replicas, and requests orphaned by a crash are retried, hedged, or
 //! shed with an attributed `replica-lost` reason — the run then asserts
 //! that every offered request was served or shed (none lost). Identical
-//! (trace, plan, seed) triples reproduce byte-identical outputs.
+//! (trace, plan, seed) triples reproduce byte-identical outputs. Every
+//! event must target a partition the fleet hosts and a replica below
+//! `--replicas`; an out-of-range target exits non-zero with a message
+//! naming the event instead of being retargeted.
 //!
 //! `--scrape-us F` arms the time-series scraper and the burn-rate alert
 //! engine on the first sweep row: the metrics registry is snapshotted
@@ -471,7 +474,7 @@ fn usage() -> ExitCode {
          [--duration-ms F] [--requests N] [--scale N] [--seed N] \
          [--network dcgan|sngan|fcn|all] [--design zero-padding|padding-free|red|all] \
          [--fault-plan crash:AT_US:P:R,stall:AT_US:P:R:DUR_US,drift:AT_US:P:SECS,\
-strike:AT_US:P:R:CELLS] \
+strike:AT_US:P:R:CELLS (P < partitions, R < --replicas)] \
          [--scrape-us F] \
          [--csv <dir>] [--json <path>] [--trace <path>] [--metrics <path>]"
     );
@@ -816,8 +819,13 @@ fn main() -> ExitCode {
                             seed,
                             stream,
                         };
-                        let report = drive(&fleet, &server_cfg, &load, &traffic)
-                            .expect("load generation runs");
+                        let report = match drive(&fleet, &server_cfg, &load, &traffic) {
+                            Ok(report) => report,
+                            Err(e) => {
+                                eprintln!("loadgen: {e}");
+                                return ExitCode::FAILURE;
+                            }
+                        };
                         alert_episodes += report.alerts.len() as u64;
                         assert!(
                             report.reconciles(),

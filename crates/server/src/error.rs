@@ -65,6 +65,23 @@ pub enum ServerError {
         /// The panic message, when the payload carried one.
         message: String,
     },
+    /// A fault-plan event targets a partition the fleet does not host or
+    /// a replica its partition does not provision. Rejected at
+    /// [`crate::Server::start`] rather than retargeted.
+    FaultTarget {
+        /// The event's position in [`crate::FaultPlan::events`].
+        event: usize,
+        /// The event's kind label (`crash`, `stall`, `drift`, `strike`).
+        kind: &'static str,
+        /// The targeted partition.
+        partition: usize,
+        /// The targeted replica, when the partition exists (`None`
+        /// means the partition itself is out of range).
+        replica: Option<usize>,
+        /// How many partitions the fleet hosts (`replica` is `None`) or
+        /// how many replicas the targeted partition provisions.
+        available: usize,
+    },
     /// A runtime error from chip compilation or execution.
     Runtime(RuntimeError),
 }
@@ -111,6 +128,28 @@ impl std::fmt::Display for ServerError {
             ServerError::SchedulerFailed { message } => {
                 write!(f, "the scheduler thread died without reporting: {message}")
             }
+            ServerError::FaultTarget {
+                event,
+                kind,
+                partition,
+                replica: None,
+                available,
+            } => write!(
+                f,
+                "fault-plan event {event} ({kind}) targets partition {partition}, \
+                 but the fleet hosts {available} partition(s)"
+            ),
+            ServerError::FaultTarget {
+                event,
+                kind,
+                partition,
+                replica: Some(replica),
+                available,
+            } => write!(
+                f,
+                "fault-plan event {event} ({kind}) targets replica {replica} of partition \
+                 {partition}, which provisions {available} replica(s)"
+            ),
             ServerError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
     }
@@ -169,5 +208,23 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("scheduler") && msg.contains("policy panicked"));
+        let msg = ServerError::FaultTarget {
+            event: 0,
+            kind: "crash",
+            partition: 99,
+            replica: None,
+            available: 1,
+        }
+        .to_string();
+        assert!(msg.contains("event 0 (crash)") && msg.contains("partition 99"));
+        let msg = ServerError::FaultTarget {
+            event: 2,
+            kind: "stall",
+            partition: 0,
+            replica: Some(7),
+            available: 2,
+        }
+        .to_string();
+        assert!(msg.contains("event 2 (stall)") && msg.contains("replica 7 of partition 0"));
     }
 }

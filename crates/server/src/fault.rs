@@ -9,6 +9,7 @@
 //! so a faulted session replays bit-identically (asserted in
 //! `tests/chaos_serving.rs`).
 
+use crate::ServerError;
 use red_device::DriftModel;
 
 /// What one fault event does to its target.
@@ -59,8 +60,9 @@ pub struct FaultEvent {
     pub at_ns: u64,
     /// Target fleet partition.
     pub partition: usize,
-    /// Target replica within the partition (ignored for
-    /// [`FaultKind::Drift`], which hits the whole partition).
+    /// Target replica within the partition. [`FaultKind::Drift`] hits
+    /// the whole partition; its builders set 0, and its `fault` trace
+    /// instant is drawn on this replica's track.
     pub replica: usize,
     /// What happens.
     pub kind: FaultKind,
@@ -71,6 +73,11 @@ pub struct FaultEvent {
 /// Events are kept sorted by `(at_ns, insertion order)`; the seed
 /// derives the per-event randomness (strike cell positions), so two
 /// plans built from the same spec are identical objects.
+///
+/// Targets are validated, not clamped: [`crate::Server::start`] rejects
+/// a plan with [`ServerError::FaultTarget`] when any event names a
+/// partition the fleet does not host or a replica beyond its
+/// partition's provisioned count.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -219,6 +226,31 @@ impl FaultPlan {
         Ok(plan)
     }
 
+    /// Checks every event's target against a fleet provisioning
+    /// `replicas[p]` replicas on partition `p`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::FaultTarget`] naming the first event (in schedule
+    /// order) whose partition or replica is out of range.
+    pub(crate) fn check_targets(&self, replicas: &[usize]) -> Result<(), ServerError> {
+        for (i, e) in self.events.iter().enumerate() {
+            let (replica, available) = match replicas.get(e.partition) {
+                None => (None, replicas.len()),
+                Some(&n) if e.replica >= n => (Some(e.replica), n),
+                Some(_) => continue,
+            };
+            return Err(ServerError::FaultTarget {
+                event: i,
+                kind: e.kind.as_str(),
+                partition: e.partition,
+                replica,
+                available,
+            });
+        }
+        Ok(())
+    }
+
     /// The drift model `elapsed_s` additional seconds of aging maps to,
     /// composed with `current` (drift advances never rejuvenate).
     pub fn composed_drift(current: DriftModel, nu: f64, elapsed_s: f64) -> DriftModel {
@@ -267,6 +299,35 @@ mod tests {
         assert!(FaultPlan::parse("drift:1:0:-3", 0).is_err());
         assert!(FaultPlan::parse("stall:1:0:0", 0).is_err());
         assert!(FaultPlan::parse("", 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn check_targets_rejects_out_of_range_partitions_and_replicas() {
+        let plan = FaultPlan::parse("crash:1:0:1,stall:2:1:0:5,drift:3:1:10", 0).unwrap();
+        assert!(plan.check_targets(&[2, 1]).is_ok());
+        let err = plan.check_targets(&[2]).unwrap_err();
+        assert!(matches!(
+            err,
+            ServerError::FaultTarget {
+                event: 1,
+                kind: "stall",
+                partition: 1,
+                replica: None,
+                available: 1,
+            }
+        ));
+        let err = plan.check_targets(&[1, 1]).unwrap_err();
+        assert!(matches!(
+            err,
+            ServerError::FaultTarget {
+                event: 0,
+                kind: "crash",
+                partition: 0,
+                replica: Some(1),
+                available: 1,
+            }
+        ));
+        assert!(FaultPlan::new(0).check_targets(&[]).is_ok());
     }
 
     #[test]

@@ -167,8 +167,11 @@ impl ServerConfig {
     /// Arms a deterministic fault plan: the scheduler injects the
     /// plan's crashes, stalls, drift advances, and stuck-at strikes on
     /// the virtual clock, runs the canary prober, and self-heals via
-    /// the [`ReplicaState`] machine. Strictly opt-in — with no plan the
-    /// dispatch path is byte-identical to a chaos-free build.
+    /// the [`ReplicaState`] machine. Strictly opt-in — without a plan the
+    /// scheduler's one dispatch path takes none of its chaos branches.
+    /// Every event must target a partition the fleet hosts and a
+    /// replica it provisions; [`Server::start`] rejects the plan with
+    /// [`ServerError::FaultTarget`] otherwise.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -690,6 +693,21 @@ struct ReplicaStats {
     error_bound: f64,
 }
 
+/// How a shipped batch labels its span on the replica's trace track.
+enum BatchSpan {
+    /// A batch the former closed: its close trigger, the requests
+    /// admission shed from it, and — on fault-plan runs only — the
+    /// orphans a crash cut from it. Carries the `tier` arg on
+    /// brownout-armed runs and per-stage execute spans.
+    Formed {
+        trigger: &'static str,
+        shed: u64,
+        lost: Option<u64>,
+    },
+    /// A hedged solo request (`trigger: "hedge"`): no stage spans.
+    Hedge,
+}
+
 type Payload = (Option<FeatureMap<i64>>, Sender<Completion>);
 
 /// Pre-bound per-partition metric handles (all no-ops when telemetry is
@@ -859,24 +877,21 @@ impl PartitionObs {
 /// only the per-partition dispatch order is a function of the trace.
 struct PartitionState {
     former: BatchFormer<Payload>,
-    fill_ns: u64,
-    steady_ns: u64,
     /// Tier-priced fill latencies, indexed by [`ExecPrecision::index`]
-    /// (`[0] == fill_ns` exactly — the full-precision tier is never
-    /// repriced).
+    /// (`[0]` is the chip's analytic fill exactly — the full-precision
+    /// tier is never repriced).
     tier_fill_ns: [u64; 3],
     /// Tier-priced steady intervals, same indexing.
     tier_steady_ns: [u64; 3],
     /// Live-over-full phase ratio per tier (`[0] == 1.0`), for scaling
     /// the tracer's analytic per-stage spans.
     tier_ratio: [f64; 3],
-    /// Per-image hardware counters per tier (`[0] == hw` exactly).
+    /// Exact per-image hardware counters per tier (`[0]` is the chip's
+    /// full-precision ledger).
     hw_by_tier: [HardwarePerImage; 3],
     /// Per-stage priced latencies, for the tracer's analytic per-stage
     /// execute spans.
     stage_lat: Vec<f64>,
-    /// Exact per-image hardware counters of this partition's chip.
-    hw: HardwarePerImage,
     metrics: PartitionMetrics,
     policy: Box<dyn AdmissionPolicy>,
     replica_tx: Vec<SyncSender<ExecBatch>>,
@@ -897,6 +912,50 @@ struct PartitionState {
     per_replica: Vec<(u64, u64, u64)>, // (batches, images, busy_ns)
     /// Scraper + alert engine, armed by [`ServerConfig::scrape`].
     obs: Option<PartitionObs>,
+}
+
+impl PartitionState {
+    /// Modeled backlog ahead of `now`, in virtual ns: how long until the
+    /// least-loaded active replica frees up. Batches dispatch eagerly (a
+    /// closed batch is committed to a replica at once, starting whenever
+    /// that replica frees up), so queue pressure lives in the `free_at`
+    /// ledger, not the former.
+    fn backlog_ns(&self, now: u64) -> u64 {
+        let horizon = self.free_at[..self.active]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(0);
+        horizon.saturating_sub(now)
+    }
+
+    /// A backlog in units of **full-precision** full-batch makespans:
+    /// the queue-depth signal of the autoscale and brownout ticks.
+    fn backlog_batches(&self, backlog_ns: u64) -> usize {
+        let full = ExecPrecision::Full.index();
+        let batch_ns = self.tier_fill_ns[full]
+            + (self.former.max_batch() as u64 - 1) * self.tier_steady_ns[full];
+        (backlog_ns / batch_ns.max(1)) as usize
+    }
+
+    /// Earliest-free active replica, lowest index on ties —
+    /// deterministic given the partition's dispatch sequence. With
+    /// `chaos`, only replicas the health plane lets the dispatch route
+    /// to qualify.
+    fn earliest_free(&self, chaos: Option<&PartChaos>) -> Option<usize> {
+        self.free_at[..self.active]
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| chaos.is_none_or(|pc| pc.replicas[*i].state.routable()))
+            .min_by_key(|(i, &t)| (t, *i))
+            .map(|(i, _)| i)
+    }
+
+    /// Active replicas the dispatch may route to: all of them without a
+    /// fault plan, the healthy ones with one.
+    fn routable(&self, chaos: Option<&PartChaos>) -> usize {
+        chaos.map_or(self.active, |pc| pc.routable(self.active))
+    }
 }
 
 /// Per-tenant ledgers the scheduler accumulates.
@@ -941,7 +1000,7 @@ struct ReplicaChaos {
     repair_until_ns: Option<u64>,
 }
 
-///// Per-partition chaos state: this partition's slice of the fault plan
+/// Per-partition chaos state: this partition's slice of the fault plan
 /// (each event paired with its seed, derived from the *global* plan
 /// index, for deterministic stuck-at strikes) plus the replica health
 /// records.
@@ -961,6 +1020,16 @@ impl PartChaos {
         (self.cursor..self.events.len())
             .find(|&i| !self.consumed[i])
             .filter(|&i| self.events[i].1.at_ns <= now)
+    }
+
+    /// Marks `events[i]` consumed, advances the cursor past every
+    /// consumed event, and returns the event with its seed.
+    fn consume(&mut self, i: usize) -> (u64, FaultEvent) {
+        self.consumed[i] = true;
+        while self.cursor < self.events.len() && self.consumed[self.cursor] {
+            self.cursor += 1;
+        }
+        self.events[i]
     }
 
     /// How many of the first `active` replicas the scheduler may route
@@ -1111,14 +1180,27 @@ impl Scheduler {
         }
     }
 
+    /// Serves one formed batch of partition `p` — the one serving path,
+    /// with or without a fault plan. The batch's tier is fixed by its
+    /// membership, then admission runs over the whole batch on the
+    /// earliest-free replica. With a plan armed, the plan's events,
+    /// probes, and repairs are first pumped up to the batch close, and
+    /// a commit-time lookahead asks whether a planned crash truncates
+    /// the batch (completions are stamped at dispatch, so the crash
+    /// must be resolved *now*). Every request is then recorded in
+    /// request order as served, shed, or orphaned; the survivors ship
+    /// as one batch, and orphans are retried, hedged, or shed with
+    /// [`ShedReason::ReplicaLost`] — never silently dropped. Without a
+    /// plan none of the chaos branches run. Everything is a pure
+    /// function of (trace, plan, seed): no host time, no iterated hash
+    /// maps, stable tie-breaks throughout.
     fn dispatch(&mut self, p: usize, batch: FormedBatch<Payload>) {
-        // Fault-plan runs take the chaos path; without a plan the code
-        // below is untouched, keeping committed baselines byte-stable.
-        if self.chaos.is_some() {
-            return self.dispatch_chaos(p, batch);
+        let close_ns = batch.close_ns;
+        let mut chaos = self.chaos.take();
+        if let Some(chaos) = chaos.as_mut() {
+            self.pump_chaos(chaos, p, close_ns, true);
         }
         let tracing = self.tele.is_enabled();
-        let trigger = batch.trigger.as_str();
         // The batch's execution tier: the brownout controller's current
         // tier, capped by the precision floor of every tenant with a
         // request in the formed batch (the `min` under the
@@ -1135,47 +1217,57 @@ impl Scheduler {
             .iter()
             .fold(ctl, |t, (meta, _)| t.min(self.floors[meta.tenant]));
         let part = &mut self.parts[p];
-        let tfill = part.tier_fill_ns[tier.index()];
-        let tsteady = part.tier_steady_ns[tier.index()];
-        let hw_t = part.hw_by_tier[tier.index()];
-        let ratio = part.tier_ratio[tier.index()];
-        // Earliest-free active replica, lowest index on ties —
-        // deterministic given the partition's dispatch sequence.
-        let r = part.free_at[..part.active]
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &t)| (t, *i))
-            .map(|(i, _)| i)
+        // Under a fault plan only routable replicas qualify; when every
+        // active replica is down, fall back to the earliest-repaired one
+        // so the batch (and the virtual clock) still makes progress.
+        let r = part
+            .earliest_free(chaos.as_ref().map(|c| &c.parts[p]))
+            .or_else(|| part.earliest_free(None))
             .expect("a partition always has at least one active replica");
-        let start = batch.close_ns.max(part.free_at[r]);
-        let mut inputs = Vec::new();
-        let mut shed_here = 0u64;
-        let mut items = Vec::with_capacity(batch.requests.len());
-        for (meta, (input, responder)) in batch.requests {
-            let position = items.len();
-            let predicted = start + tfill + position as u64 * tsteady;
+        let start = close_ns.max(part.free_at[r]);
+        let fill = part.tier_fill_ns[tier.index()];
+        let steady = part.tier_steady_ns[tier.index()];
+        // Admission for the whole batch: `Ok(position)` or the shed's
+        // reason, read right after its own `admit` call so it sees the
+        // policy state the decision saw.
+        let mut admitted = 0usize;
+        let mut decisions = Vec::with_capacity(batch.requests.len());
+        for (meta, _) in &batch.requests {
             let estimate = ServiceEstimate {
                 batch_start_ns: start,
-                position,
-                fill_latency_ns: tfill,
-                steady_interval_ns: tsteady,
-                predicted_completion_ns: predicted,
+                position: admitted,
+                fill_latency_ns: fill,
+                steady_interval_ns: steady,
+                predicted_completion_ns: start + fill + admitted as u64 * steady,
             };
-            let admitted = part.policy.admit(&meta, &estimate);
-            let completion_ns = if admitted { predicted } else { start };
-            let timing = RequestTiming {
-                arrival_ns: meta.arrival_ns,
-                dispatch_ns: start,
-                completion_ns,
-            };
-            let st = &mut self.clients[meta.client];
-            if st.mode == ClientMode::Closed {
-                st.in_flight -= 1;
-                st.watermark_ns = st.watermark_ns.max(completion_ns);
+            decisions.push(if part.policy.admit(meta, &estimate) {
+                admitted += 1;
+                Ok(estimate.position)
+            } else {
+                Err(part.policy.shed_reason(meta, &estimate))
+            });
+        }
+        // Does a planned crash truncate this batch? Survivors are the
+        // admitted requests stamped at or before the crash.
+        let crash = match chaos.as_mut() {
+            Some(chaos) if admitted > 0 => {
+                let end = start + fill + (admitted as u64 - 1) * steady;
+                self.crash_within(chaos, p, r, end)
             }
-            self.out.last_completion_ns = self.out.last_completion_ns.max(completion_ns);
-            let tenant = &mut self.tenants[meta.tenant];
-            if tracing {
+            _ => None,
+        };
+        let mut inputs = Vec::new();
+        let mut items = Vec::with_capacity(admitted);
+        let mut orphans = Vec::new();
+        let mut shed = 0u64;
+        for ((meta, (input, responder)), decision) in batch.requests.into_iter().zip(decisions) {
+            // One lifecycle span per request across all of its
+            // dispatches: a re-queued orphan is already in the attempts
+            // ledger and its span is still open.
+            let first_dispatch = chaos
+                .as_ref()
+                .is_none_or(|c| !c.attempts.contains_key(&(meta.client, meta.seq)));
+            if tracing && first_dispatch {
                 self.tele.record(
                     p,
                     TraceEvent::new("req", "request", Phase::AsyncBegin, meta.arrival_ns)
@@ -1184,201 +1276,312 @@ impl Scheduler {
                         .arg("network", ArgValue::U64(meta.network as u64)),
                 );
             }
-            if admitted {
-                self.out.served += 1;
-                part.served += 1;
-                tenant.served += 1;
-                part.metrics.served_by_tenant[meta.tenant].add(1);
-                self.out.served_by_tier[tier.index()] += 1;
-                part.served_by_tier[tier.index()] += 1;
-                part.metrics.served_by_tier[tier.index()].add(1);
-                self.out.queue_wait.record(timing.queue_wait_ns());
-                self.out.execute.record(timing.execute_ns());
-                self.out.total.record(timing.total_ns());
-                tenant.queue_wait.record(timing.queue_wait_ns());
-                tenant.total.record(timing.total_ns());
-                part.total.record(timing.total_ns());
-                if self.slos[meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-                    part.metrics.slo_miss_by_tenant[meta.tenant].add(1);
+            let position = match decision {
+                Ok(position) => position,
+                Err(reason) => {
+                    shed += 1;
+                    self.record_shed(p, meta, responder, start, reason);
+                    continue;
                 }
-                if let Some(obs) = part.obs.as_mut() {
-                    obs.scraper.record_latency(timing.total_ns());
-                }
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("position", ArgValue::U64(position as u64))
-                            .arg("replica", ArgValue::U64(r as u64)),
-                    );
-                    // Per-request hardware charge: one image's exact
-                    // counters, so summing the `e` events of every
-                    // served request reproduces the aggregate figures.
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, completion_ns)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("xbar_activations", ArgValue::U64(hw_t.crossbar_activations))
-                            .arg("adc_quantizations", ArgValue::U64(hw_t.adc_quantizations))
-                            .arg("energy_fj", ArgValue::U64(hw_t.energy_fj)),
-                    );
-                }
-                if self.functional {
-                    inputs.push(input.expect("functional servers always carry inputs"));
-                }
-                items.push(ExecItem {
-                    meta,
-                    timing,
-                    responder,
-                });
-            } else {
-                self.out.shed += 1;
-                part.shed += 1;
-                tenant.shed += 1;
-                shed_here += 1;
-                part.metrics.shed_by_tenant[meta.tenant].add(1);
-                // Attribute the denial to its tenant so the autoscaler's
-                // next ScaleEvent can name the worst offender.
-                if let Some(scaler) = part.autoscaler.as_mut() {
-                    scaler.observe_shed(meta.tenant, 1);
-                }
-                if let Some(ctl) = part.brownout.as_mut() {
-                    ctl.observe_shed(1);
-                }
-                self.out.shed_wait.record(timing.queue_wait_ns());
-                let reason = part.policy.shed_reason(&meta, &estimate);
-                self.out.sheds_by_reason[reason.index()] += 1;
-                part.metrics.shed_by_reason[reason.index()].add(1);
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("shed", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("reason", ArgValue::Str(reason.as_str())),
-                    );
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, completion_ns)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("outcome", ArgValue::Str("shed")),
-                    );
-                }
-                let _ = responder.send(Completion {
-                    meta,
-                    timing,
-                    outcome: Outcome::Shed,
-                });
+            };
+            let completion_ns = start + fill + position as u64 * steady;
+            if crash.is_some_and(|t| completion_ns > t) {
+                orphans.push((meta, input, responder));
+                continue;
             }
+            let item = ExecItem {
+                meta,
+                timing: RequestTiming {
+                    arrival_ns: meta.arrival_ns,
+                    dispatch_ns: start,
+                    completion_ns,
+                },
+                responder,
+            };
+            self.record_served(p, &item, tier, r, position, false);
+            if self.functional {
+                inputs.push(input.expect("functional servers always carry inputs"));
+            }
+            items.push(item);
         }
-        let b = items.len() as u64;
-        let makespan = if b == 0 {
-            0 // fully shed: zero chip time, replica stays free
-        } else {
-            let makespan = tfill + (b - 1) * tsteady;
-            part.free_at[r] = start + makespan;
-            self.out.modeled_busy_ns += makespan;
-            part.modeled_busy_ns += makespan;
-            self.out.batches += 1;
-            part.batches += 1;
-            self.out.batch_sizes.record(b);
-            let (rb, ri, rbusy) = &mut part.per_replica[r];
-            *rb += 1;
-            *ri += b;
-            *rbusy += makespan;
-            // The partition-level hardware charge: exactly `hw × b` at
-            // the batch's tier, the same per-image integers the
-            // request-level `e` events carry.
-            let hwb = hw_t.scaled(b);
-            part.metrics.images.add(b);
-            part.metrics.xbar_activations.add(hwb.crossbar_activations);
-            part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-            part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-            part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-            part.metrics.energy_fj.add(hwb.energy_fj);
-            if tracing {
-                let pid = trace_pid(p);
-                let mut ev = TraceEvent::new("batch", "exec", Phase::Complete, start)
-                    .track(pid, trace_tid_replica(r))
-                    .dur(makespan)
-                    .arg("size", ArgValue::U64(b))
-                    .arg("trigger", ArgValue::Str(trigger))
-                    .arg("shed", ArgValue::U64(shed_here))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj));
-                // The tier arg rides only on brownout-armed sessions so
-                // earlier committed traces stay byte-identical.
-                if part.brownout.is_some() {
-                    ev = ev.arg("tier", ArgValue::Str(tier.name()));
-                }
-                self.tele.record(p, ev);
-                // Analytic per-stage execute spans under the pipelined
-                // schedule the makespan charges: stage k first starts at
-                // the latency prefix and last finishes one bottleneck
-                // interval per extra image later. Stage latencies scale
-                // with the tier's live phase ratio, like the makespan.
-                let mut prefix = 0.0f64;
-                let mut runmax = 0.0f64;
-                for (k, &l) in part.stage_lat.iter().enumerate() {
-                    let l = l * ratio;
-                    runmax = runmax.max(l);
-                    let begin = start + prefix.round() as u64;
-                    let end = start + (prefix + l + (b - 1) as f64 * runmax).round() as u64;
-                    prefix += l;
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("stage", "exec", Phase::Complete, begin)
-                            .track(pid, trace_tid_stage(r, k))
-                            .dur(end.saturating_sub(begin))
-                            .arg("stage", ArgValue::U64(k as u64))
-                            .arg("images", ArgValue::U64(b)),
-                    );
-                }
-            }
-            if let Err(failed) = part.replica_tx[r].send(ExecBatch {
+        let span = BatchSpan::Formed {
+            trigger: batch.trigger.as_str(),
+            shed,
+            lost: chaos.is_some().then_some(orphans.len() as u64),
+        };
+        let makespan = self.ship(
+            p,
+            r,
+            start,
+            ExecBatch {
                 inputs,
                 items,
                 tier,
-            }) {
-                // The worker is gone (cannot happen short of a panic);
-                // answer the batch ourselves so closed-loop clients
-                // never hang.
-                self.out.send_failures += b;
-                for item in failed.0.items {
-                    let _ = item.responder.send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
+            },
+            span,
+        );
+        if let (Some(t), Some(chaos)) = (crash, chaos.as_mut()) {
+            for (meta, input, responder) in orphans {
+                self.trace_orphan(p, &meta, r, t);
+                self.resolve_orphan(chaos, p, meta, input, responder, t);
             }
-            makespan
+        }
+        // Every dispatch is a decision instant on the virtual clock.
+        let effective = self.parts[p].routable(chaos.as_ref().map(|c| &c.parts[p]));
+        self.chaos = chaos;
+        self.autoscale_tick(p, close_ns, makespan, effective);
+        self.brownout_tick(p, close_ns, effective);
+        // Routable capacity after the ticks (autoscaling may have moved
+        // `active`), so the scraped gauge matches what the next
+        // dispatch could actually route to.
+        let routable = self.parts[p].routable(self.chaos.as_ref().map(|c| &c.parts[p]));
+        self.observe_tick(p, close_ns, routable);
+    }
+
+    /// Frees a closed-loop client's in-flight slot at `completion_ns`
+    /// and advances the session's last completion.
+    fn settle(&mut self, meta: &RequestMeta, completion_ns: u64) {
+        let st = &mut self.clients[meta.client];
+        if st.mode == ClientMode::Closed {
+            st.in_flight -= 1;
+            st.watermark_ns = st.watermark_ns.max(completion_ns);
+        }
+        self.out.last_completion_ns = self.out.last_completion_ns.max(completion_ns);
+    }
+
+    /// The served-request ledger, shared by formed batches and hedges:
+    /// settles the client, charges every served counter and latency
+    /// histogram, and records the `admit` instant plus the request's
+    /// closing `e` event. The `e` event carries one image's exact
+    /// hardware counters at `tier`, so summing the `e` events of every
+    /// served request reproduces the aggregate figures. `hedge` marks a
+    /// solo deadline rescue on a sibling replica.
+    fn record_served(
+        &mut self,
+        p: usize,
+        item: &ExecItem,
+        tier: ExecPrecision,
+        r: usize,
+        position: usize,
+        hedge: bool,
+    ) {
+        let (meta, timing) = (&item.meta, item.timing);
+        self.settle(meta, timing.completion_ns);
+        let part = &mut self.parts[p];
+        let tenant = &mut self.tenants[meta.tenant];
+        self.out.served += 1;
+        part.served += 1;
+        tenant.served += 1;
+        part.metrics.served_by_tenant[meta.tenant].add(1);
+        self.out.served_by_tier[tier.index()] += 1;
+        part.served_by_tier[tier.index()] += 1;
+        part.metrics.served_by_tier[tier.index()].add(1);
+        self.out.queue_wait.record(timing.queue_wait_ns());
+        self.out.execute.record(timing.execute_ns());
+        self.out.total.record(timing.total_ns());
+        tenant.queue_wait.record(timing.queue_wait_ns());
+        tenant.total.record(timing.total_ns());
+        part.total.record(timing.total_ns());
+        if self.slos[meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
+            part.metrics.slo_miss_by_tenant[meta.tenant].add(1);
+        }
+        if let Some(obs) = part.obs.as_mut() {
+            obs.scraper.record_latency(timing.total_ns());
+        }
+        if self.tele.is_enabled() {
+            let id = trace_req_id(meta);
+            let mut admit =
+                TraceEvent::new("admit", "request", Phase::AsyncInstant, timing.dispatch_ns)
+                    .track(TRACE_PID_SCHED, meta.tenant as u32)
+                    .with_id(id)
+                    .arg("position", ArgValue::U64(position as u64))
+                    .arg("replica", ArgValue::U64(r as u64));
+            if hedge {
+                admit = admit.arg("hedge", ArgValue::U64(1));
+            }
+            self.tele.record(p, admit);
+            let hw = part.hw_by_tier[tier.index()];
+            self.tele.record(
+                p,
+                TraceEvent::new("req", "request", Phase::AsyncEnd, timing.completion_ns)
+                    .track(TRACE_PID_SCHED, meta.tenant as u32)
+                    .with_id(id)
+                    .arg("xbar_activations", ArgValue::U64(hw.crossbar_activations))
+                    .arg("adc_quantizations", ArgValue::U64(hw.adc_quantizations))
+                    .arg("energy_fj", ArgValue::U64(hw.energy_fj)),
+            );
+        }
+    }
+
+    /// The shed ledger, shared by admission denials and lost orphans:
+    /// answers the request as shed at instant `at` (zero chip time),
+    /// attributes the denial to its tenant and `reason`, and feeds the
+    /// autoscaler's and brownout controller's shed signals.
+    fn record_shed(
+        &mut self,
+        p: usize,
+        meta: RequestMeta,
+        responder: Sender<Completion>,
+        at: u64,
+        reason: ShedReason,
+    ) {
+        let timing = RequestTiming {
+            arrival_ns: meta.arrival_ns,
+            dispatch_ns: at,
+            completion_ns: at,
         };
-        // Autoscaling: every dispatch is a decision instant on the
-        // virtual clock. Batches dispatch eagerly (a closed batch is
-        // committed to a replica immediately, starting whenever that
-        // replica frees up), so queue pressure lives in the replica
-        // `free_at` ledger, not the former. The queue-depth signal is
-        // therefore the modeled backlog ahead of the newest dispatch,
-        // in units of full-batch makespans: how many max-size batches
-        // the least-loaded active replica still has to finish before
-        // work closing *now* could start. Every input is a
-        // deterministic function of the partition's dispatch sequence,
-        // which keeps scale decisions trace-reproducible. Sheds feed
-        // the saturation trigger: admission control caps the queue
-        // near its lag bound, so a shedding partition signals overload
-        // through utilization + shed count, not backlog.
-        let effective = part.active;
-        self.autoscale_tick(p, batch.close_ns, makespan, effective);
-        self.brownout_tick(p, batch.close_ns, effective);
-        // Chaos-free runs route to every active replica.
-        let routable = self.parts[p].active;
-        self.observe_tick(p, batch.close_ns, routable);
+        self.settle(&meta, at);
+        let part = &mut self.parts[p];
+        let tenant = &mut self.tenants[meta.tenant];
+        self.out.shed += 1;
+        part.shed += 1;
+        tenant.shed += 1;
+        part.metrics.shed_by_tenant[meta.tenant].add(1);
+        // Attribute the denial to its tenant so the autoscaler's next
+        // ScaleEvent can name the worst offender.
+        if let Some(scaler) = part.autoscaler.as_mut() {
+            scaler.observe_shed(meta.tenant, 1);
+        }
+        if let Some(ctl) = part.brownout.as_mut() {
+            ctl.observe_shed(1);
+        }
+        self.out.shed_wait.record(timing.queue_wait_ns());
+        self.out.sheds_by_reason[reason.index()] += 1;
+        part.metrics.shed_by_reason[reason.index()].add(1);
+        if self.tele.is_enabled() {
+            let id = trace_req_id(&meta);
+            self.tele.record(
+                p,
+                TraceEvent::new("shed", "request", Phase::AsyncInstant, at)
+                    .track(TRACE_PID_SCHED, meta.tenant as u32)
+                    .with_id(id)
+                    .arg("reason", ArgValue::Str(reason.as_str())),
+            );
+            self.tele.record(
+                p,
+                TraceEvent::new("req", "request", Phase::AsyncEnd, at)
+                    .track(TRACE_PID_SCHED, meta.tenant as u32)
+                    .with_id(id)
+                    .arg("outcome", ArgValue::Str("shed")),
+            );
+        }
+        let _ = responder.send(Completion {
+            meta,
+            timing,
+            outcome: Outcome::Shed,
+        });
+    }
+
+    /// Charges `batch` to replica `r` from `start` under the pipelined
+    /// schedule `fill + (b-1)·steady` at the batch's tier, records its
+    /// span, and ships it to the worker. The worker re-derives the same
+    /// charge from the batch it receives, so `ServerReport::reconciles`
+    /// holds for formed batches, crash survivors, and hedges alike.
+    /// Returns the busy time charged: zero for an empty (fully shed or
+    /// fully orphaned) batch, which costs no chip time.
+    fn ship(&mut self, p: usize, r: usize, start: u64, batch: ExecBatch, span: BatchSpan) -> u64 {
+        let b = batch.items.len() as u64;
+        if b == 0 {
+            return 0;
+        }
+        let tier = batch.tier;
+        let part = &mut self.parts[p];
+        let makespan =
+            part.tier_fill_ns[tier.index()] + (b - 1) * part.tier_steady_ns[tier.index()];
+        // A formed batch starts at or after `free_at[r]`, so this sets
+        // the replica free at the batch's end; a crash has already
+        // pushed `free_at[r]` past every survivor to its repair
+        // completion, and a hedge never pulls a busier horizon back.
+        part.free_at[r] = part.free_at[r].max(start + makespan);
+        self.out.modeled_busy_ns += makespan;
+        part.modeled_busy_ns += makespan;
+        self.out.batches += 1;
+        part.batches += 1;
+        self.out.batch_sizes.record(b);
+        let (rb, ri, rbusy) = &mut part.per_replica[r];
+        *rb += 1;
+        *ri += b;
+        *rbusy += makespan;
+        // The partition-level hardware charge: exactly `hw × b` at the
+        // batch's tier, the same per-image integers the request-level
+        // `e` events carry.
+        let hwb = part.hw_by_tier[tier.index()].scaled(b);
+        part.metrics.images.add(b);
+        part.metrics.xbar_activations.add(hwb.crossbar_activations);
+        part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
+        part.metrics.plane_row_adds.add(hwb.plane_row_adds);
+        part.metrics.adc_quantizations.add(hwb.adc_quantizations);
+        part.metrics.energy_fj.add(hwb.energy_fj);
+        if self.tele.is_enabled() {
+            let pid = trace_pid(p);
+            let (trigger, shed, lost) = match span {
+                BatchSpan::Formed {
+                    trigger,
+                    shed,
+                    lost,
+                } => (trigger, shed, lost),
+                BatchSpan::Hedge => ("hedge", 0, None),
+            };
+            let mut ev = TraceEvent::new("batch", "exec", Phase::Complete, start)
+                .track(pid, trace_tid_replica(r))
+                .dur(makespan)
+                .arg("size", ArgValue::U64(b))
+                .arg("trigger", ArgValue::Str(trigger))
+                .arg("shed", ArgValue::U64(shed));
+            if let Some(lost) = lost {
+                ev = ev.arg("lost", ArgValue::U64(lost));
+            }
+            ev = ev.arg("energy_fj", ArgValue::U64(hwb.energy_fj));
+            let formed = matches!(span, BatchSpan::Formed { .. });
+            // The tier arg rides only on brownout-armed sessions so
+            // earlier committed traces stay byte-identical.
+            if formed && part.brownout.is_some() {
+                ev = ev.arg("tier", ArgValue::Str(tier.name()));
+            }
+            self.tele.record(p, ev);
+            // Analytic per-stage execute spans under the pipelined
+            // schedule the makespan charges: stage k first starts at the
+            // latency prefix and last finishes one bottleneck interval
+            // per extra image later. Stage latencies scale with the
+            // tier's live phase ratio, like the makespan.
+            let stages = if formed {
+                part.stage_lat.as_slice()
+            } else {
+                &[]
+            };
+            let ratio = part.tier_ratio[tier.index()];
+            let mut prefix = 0.0f64;
+            let mut runmax = 0.0f64;
+            for (k, &l) in stages.iter().enumerate() {
+                let l = l * ratio;
+                runmax = runmax.max(l);
+                let begin = start + prefix.round() as u64;
+                let end = start + (prefix + l + (b - 1) as f64 * runmax).round() as u64;
+                prefix += l;
+                self.tele.record(
+                    p,
+                    TraceEvent::new("stage", "exec", Phase::Complete, begin)
+                        .track(pid, trace_tid_stage(r, k))
+                        .dur(end.saturating_sub(begin))
+                        .arg("stage", ArgValue::U64(k as u64))
+                        .arg("images", ArgValue::U64(b)),
+                );
+            }
+        }
+        if let Err(failed) = part.replica_tx[r].send(batch) {
+            // The worker is gone (cannot happen short of a panic);
+            // answer the batch ourselves so closed-loop clients never
+            // hang.
+            self.out.send_failures += b;
+            for item in failed.0.items {
+                let _ = item.responder.send(Completion {
+                    meta: item.meta,
+                    timing: item.timing,
+                    outcome: Outcome::Failed,
+                });
+            }
+        }
+        makespan
     }
 
     /// The per-dispatch autoscaling decision instant. `effective` is
@@ -1387,6 +1590,16 @@ impl Scheduler {
     /// quarantined capacity reads as lost and produces scale-up
     /// pressure). The decision's delta is applied to the provisioned
     /// `active` count.
+    ///
+    /// The queue-depth signal is the modeled backlog ahead of the newest
+    /// dispatch in full-batch makespans: how many max-size batches the
+    /// least-loaded active replica still has to finish before work
+    /// closing *now* could start. Every input is a deterministic
+    /// function of the partition's dispatch sequence, which keeps scale
+    /// decisions trace-reproducible. Sheds feed the saturation trigger:
+    /// admission control caps the queue near its lag bound, so a
+    /// shedding partition signals overload through utilization + shed
+    /// count, not backlog.
     fn autoscale_tick(&mut self, p: usize, close_ns: u64, makespan: u64, effective: usize) {
         let part = &mut self.parts[p];
         let Some(scaler) = part.autoscaler.as_mut() else {
@@ -1396,15 +1609,9 @@ impl Scheduler {
         if !scaler.due(close_ns) {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        let batch_ns =
-            (part.fill_ns + (part.former.max_batch() as u64 - 1) * part.steady_ns).max(1);
-        let backlog_ns = horizon.saturating_sub(close_ns);
-        let queue = (backlog_ns / batch_ns) as usize;
+        let backlog_ns = part.backlog_ns(close_ns);
+        let queue = part.backlog_batches(backlog_ns);
+        let scaler = part.autoscaler.as_mut().expect("checked armed above");
         if let Some(event) = scaler.decide(close_ns, queue, backlog_ns, effective.max(1)) {
             let delta = event.to as i64 - event.from as i64;
             part.active = (part.active as i64 + delta).clamp(1, part.free_at.len() as i64) as usize;
@@ -1447,15 +1654,9 @@ impl Scheduler {
         if !ctl.due(close_ns) {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        let batch_ns =
-            (part.fill_ns + (part.former.max_batch() as u64 - 1) * part.steady_ns).max(1);
-        let backlog_ns = horizon.saturating_sub(close_ns);
-        let queue = (backlog_ns / batch_ns) as usize;
+        let backlog_ns = part.backlog_ns(close_ns);
+        let queue = part.backlog_batches(backlog_ns);
+        let ctl = part.brownout.as_mut().expect("checked armed above");
         if let Some(event) = ctl.decide(close_ns, queue, backlog_ns, routable.max(1), provisioned) {
             part.metrics.precision_tier.set(event.to.index() as i64);
             part.brownout_events.push(event);
@@ -1486,14 +1687,7 @@ impl Scheduler {
         if part.obs.is_none() {
             return;
         }
-        let horizon = part.free_at[..part.active]
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(0);
-        part.metrics
-            .backlog_ns
-            .set(horizon.saturating_sub(now_ns) as i64);
+        part.metrics.backlog_ns.set(part.backlog_ns(now_ns) as i64);
         part.metrics.replicas_routable.set(routable as i64);
         let obs = part.obs.as_mut().expect("checked non-None above");
         let windows = obs.scraper.pump(now_ns);
@@ -1510,56 +1704,23 @@ impl Scheduler {
         let end = self.out.last_completion_ns;
         for p in 0..self.parts.len() {
             let part = &mut self.parts[p];
+            let backlog_ns = part.backlog_ns(end);
             let Some(obs) = part.obs.as_mut() else {
                 continue;
             };
-            let horizon = part.free_at[..part.active]
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(0);
-            part.metrics
-                .backlog_ns
-                .set(horizon.saturating_sub(end) as i64);
+            part.metrics.backlog_ns.set(backlog_ns as i64);
             let windows = obs.scraper.finish(end);
             obs.ingest(&windows);
             self.tele.publish_timeseries(obs.scraper.export());
         }
     }
 
-    // ---- Fault-plan (chaos) serving path ---------------------------
+    // ---- Fault-plan (chaos) layer ---------------------------------
     //
-    // Mirrors `dispatch` but interleaves the armed `FaultPlan` with the
-    // batch stream on the virtual clock: plan events, canary probes,
-    // and repair completions are pumped in virtual-time order up to
-    // each batch close; a commit-time lookahead then asks whether a
-    // planned crash truncates the batch being committed (completions
-    // are stamped at dispatch, so the crash must be resolved *now*).
-    // Requests orphaned by a crash are re-queued, hedged, or shed with
-    // `ShedReason::ReplicaLost` — never silently dropped. Everything is
-    // a pure function of (trace, plan, seed): no host time, no iterated
-    // hash maps, stable tie-breaks throughout.
-
-    fn dispatch_chaos(&mut self, p: usize, batch: FormedBatch<Payload>) {
-        let mut chaos = self
-            .chaos
-            .take()
-            .expect("dispatch_chaos runs only with chaos state armed");
-        self.pump_chaos(&mut chaos, p, batch.close_ns, true);
-        let trigger = batch.trigger.as_str();
-        let makespan = self.commit_chaos(&mut chaos, p, batch.requests, batch.close_ns, trigger);
-        let effective = chaos.parts[p].routable(self.parts[p].active);
-        self.chaos = Some(chaos);
-        self.autoscale_tick(p, batch.close_ns, makespan, effective);
-        self.brownout_tick(p, batch.close_ns, effective);
-        // Routable capacity after the ticks (autoscaling may have moved
-        // `active`), so the scraped gauge matches what the next
-        // dispatch could actually route to.
-        let routable = self.chaos.as_ref().map_or(self.parts[p].active, |c| {
-            c.parts[p].routable(self.parts[p].active)
-        });
-        self.observe_tick(p, batch.close_ns, routable);
-    }
+    // Helpers `dispatch` calls only when a `FaultPlan` is armed: the pump
+    // that interleaves plan events, canary probes, and repair
+    // completions with the batch stream on the virtual clock, the
+    // commit-time crash lookahead, and orphan resolution.
 
     /// Processes plan events, canary probes (unless `probes` is off —
     /// the end-of-session flush skips them), and repair completions for
@@ -1607,22 +1768,16 @@ impl Scheduler {
     /// Applies the plan event at `events[i]` (already known due) to its
     /// partition, emits its `fault` instant, and advances the cursor.
     fn apply_plan_event(&mut self, chaos: &mut ChaosState, p: usize, i: usize) {
-        let (event_seed, event) = chaos.parts[p].events[i];
-        chaos.parts[p].consumed[i] = true;
-        let pc = &mut chaos.parts[p];
-        while pc.cursor < pc.events.len() && pc.consumed[pc.cursor] {
-            pc.cursor += 1;
-        }
-        self.count_fault(p, &event, event.replica.min(pc.replicas.len() - 1));
+        let (event_seed, event) = chaos.parts[p].consume(i);
+        // `Server::start` rejected out-of-range targets, so every index
+        // below is a provisioned replica.
+        let r = event.replica;
+        self.count_fault(p, &event, r);
         match event.kind {
-            FaultKind::Crash => {
-                let r = event.replica.min(chaos.parts[p].replicas.len() - 1);
-                self.quarantine_replica(chaos, p, r, event.at_ns, None);
-            }
+            FaultKind::Crash => self.quarantine_replica(chaos, p, r, event.at_ns, None),
             FaultKind::Stall { ns } => {
-                let part = &mut self.parts[p];
-                let r = event.replica.min(part.free_at.len() - 1);
-                part.free_at[r] = part.free_at[r].max(event.at_ns) + ns;
+                let free_at = &mut self.parts[p].free_at[r];
+                *free_at = (*free_at).max(event.at_ns) + ns;
             }
             FaultKind::Drift { elapsed_s } => {
                 let nu = chaos.health.drift_nu;
@@ -1632,7 +1787,6 @@ impl Scheduler {
                 }
             }
             FaultKind::Strikes { cells } => {
-                let r = event.replica.min(chaos.parts[p].replicas.len() - 1);
                 chaos.parts[p].replicas[r].witness.strike(cells, event_seed);
             }
         }
@@ -1758,346 +1912,30 @@ impl Scheduler {
             if e.at_ns > end {
                 break;
             }
-            if e.kind == FaultKind::Crash && e.replica.min(pc.replicas.len() - 1) == r {
+            if e.kind == FaultKind::Crash && e.replica == r {
                 hit = Some(i);
                 break;
             }
         }
-        let i = hit?;
-        let event = chaos.parts[p].events[i].1;
-        chaos.parts[p].consumed[i] = true;
-        let pc = &mut chaos.parts[p];
-        while pc.cursor < pc.events.len() && pc.consumed[pc.cursor] {
-            pc.cursor += 1;
-        }
+        let (_, event) = chaos.parts[p].consume(hit?);
         self.count_fault(p, &event, r);
         self.quarantine_replica(chaos, p, r, event.at_ns, None);
         Some(event.at_ns)
     }
 
-    /// The chaos analogue of the per-batch body of `dispatch`: admits,
-    /// serves, and sheds exactly like the normal path, plus crash
-    /// truncation. Returns the busy time charged (for the autoscaler).
-    #[allow(clippy::too_many_lines)]
-    fn commit_chaos(
-        &mut self,
-        chaos: &mut ChaosState,
-        p: usize,
-        requests: Vec<(RequestMeta, Payload)>,
-        close_ns: u64,
-        trigger: &'static str,
-    ) -> u64 {
-        let tracing = self.tele.is_enabled();
-        // Batch tier: controller tier capped by every member tenant's
-        // precision floor — same rule as the chaos-free path.
-        let ctl = self.parts[p]
-            .brownout
-            .as_ref()
-            .map_or(ExecPrecision::Full, BrownoutController::tier);
-        let tier = requests
-            .iter()
-            .fold(ctl, |t, (meta, _)| t.min(self.floors[meta.tenant]));
-        let part = &mut self.parts[p];
-        // Earliest-free *routable* active replica; when every active
-        // replica is down, fall back to the earliest-repaired one so the
-        // batch (and the virtual clock) still makes progress.
-        let pc = &chaos.parts[p];
-        let pick = |routable_only: bool| {
-            part.free_at[..part.active]
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !routable_only || pc.replicas[*i].state.routable())
-                .min_by_key(|(i, &t)| (t, *i))
-                .map(|(i, _)| i)
-        };
-        let r = pick(true)
-            .or_else(|| pick(false))
-            .expect("a partition always has at least one active replica");
-        let start = close_ns.max(part.free_at[r]);
-        let fill = part.tier_fill_ns[tier.index()];
-        let steady = part.tier_steady_ns[tier.index()];
-        let hw_t = part.hw_by_tier[tier.index()];
-        let ratio = part.tier_ratio[tier.index()];
-
-        // Pass 1 — admission, exactly like the normal path. Sheds are
-        // resolved inline; admitted requests are stashed with their
-        // stamped completion for crash partitioning.
-        struct Admitted {
-            meta: RequestMeta,
-            input: Option<FeatureMap<i64>>,
-            responder: Sender<Completion>,
-            predicted: u64,
-            position: usize,
+    /// Marks request `meta` orphaned at instant `t` by replica `r`'s
+    /// crash.
+    fn trace_orphan(&self, p: usize, meta: &RequestMeta, r: usize, t: u64) {
+        if self.tele.is_enabled() {
+            self.tele.record(
+                p,
+                TraceEvent::new("fault", "request", Phase::AsyncInstant, t)
+                    .track(TRACE_PID_SCHED, meta.tenant as u32)
+                    .with_id(trace_req_id(meta))
+                    .arg("kind", ArgValue::Str("replica-crash"))
+                    .arg("replica", ArgValue::U64(r as u64)),
+            );
         }
-        let mut admitted: Vec<Admitted> = Vec::with_capacity(requests.len());
-        let mut shed_here = 0u64;
-        for (meta, (input, responder)) in requests {
-            let position = admitted.len();
-            let predicted = start + fill + position as u64 * steady;
-            let estimate = ServiceEstimate {
-                batch_start_ns: start,
-                position,
-                fill_latency_ns: fill,
-                steady_interval_ns: steady,
-                predicted_completion_ns: predicted,
-            };
-            let ok = part.policy.admit(&meta, &estimate);
-            // One lifecycle span per request across all of its
-            // dispatches: a re-queued victim is already in the attempts
-            // ledger and its span is still open.
-            if tracing && !chaos.attempts.contains_key(&(meta.client, meta.seq)) {
-                self.tele.record(
-                    p,
-                    TraceEvent::new("req", "request", Phase::AsyncBegin, meta.arrival_ns)
-                        .track(TRACE_PID_SCHED, meta.tenant as u32)
-                        .with_id(trace_req_id(&meta))
-                        .arg("network", ArgValue::U64(meta.network as u64)),
-                );
-            }
-            if ok {
-                admitted.push(Admitted {
-                    meta,
-                    input,
-                    responder,
-                    predicted,
-                    position,
-                });
-            } else {
-                let timing = RequestTiming {
-                    arrival_ns: meta.arrival_ns,
-                    dispatch_ns: start,
-                    completion_ns: start,
-                };
-                let st = &mut self.clients[meta.client];
-                if st.mode == ClientMode::Closed {
-                    st.in_flight -= 1;
-                    st.watermark_ns = st.watermark_ns.max(start);
-                }
-                self.out.last_completion_ns = self.out.last_completion_ns.max(start);
-                let tenant = &mut self.tenants[meta.tenant];
-                self.out.shed += 1;
-                part.shed += 1;
-                tenant.shed += 1;
-                shed_here += 1;
-                part.metrics.shed_by_tenant[meta.tenant].add(1);
-                if let Some(scaler) = part.autoscaler.as_mut() {
-                    scaler.observe_shed(meta.tenant, 1);
-                }
-                if let Some(ctl) = part.brownout.as_mut() {
-                    ctl.observe_shed(1);
-                }
-                self.out.shed_wait.record(timing.queue_wait_ns());
-                let reason = part.policy.shed_reason(&meta, &estimate);
-                self.out.sheds_by_reason[reason.index()] += 1;
-                part.metrics.shed_by_reason[reason.index()].add(1);
-                if tracing {
-                    let id = trace_req_id(&meta);
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("shed", "request", Phase::AsyncInstant, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("reason", ArgValue::Str(reason.as_str())),
-                    );
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("req", "request", Phase::AsyncEnd, start)
-                            .track(TRACE_PID_SCHED, meta.tenant as u32)
-                            .with_id(id)
-                            .arg("outcome", ArgValue::Str("shed")),
-                    );
-                }
-                let _ = responder.send(Completion {
-                    meta,
-                    timing,
-                    outcome: Outcome::Shed,
-                });
-            }
-        }
-
-        // Pass 2 — does a planned crash truncate this batch? Survivors
-        // are the admitted requests stamped at or before the crash.
-        let b_all = admitted.len() as u64;
-        let end = if b_all == 0 {
-            start
-        } else {
-            start + fill + (b_all - 1) * steady
-        };
-        let crash = if b_all == 0 {
-            None
-        } else {
-            self.crash_within(chaos, p, r, end)
-        };
-        let mut inputs = Vec::new();
-        let mut items = Vec::with_capacity(admitted.len());
-        let mut victims = Vec::new();
-        for a in admitted {
-            if crash.is_some_and(|t| a.predicted > t) {
-                victims.push(a);
-                continue;
-            }
-            let timing = RequestTiming {
-                arrival_ns: a.meta.arrival_ns,
-                dispatch_ns: start,
-                completion_ns: a.predicted,
-            };
-            let st = &mut self.clients[a.meta.client];
-            if st.mode == ClientMode::Closed {
-                st.in_flight -= 1;
-                st.watermark_ns = st.watermark_ns.max(a.predicted);
-            }
-            self.out.last_completion_ns = self.out.last_completion_ns.max(a.predicted);
-            let part = &mut self.parts[p];
-            let tenant = &mut self.tenants[a.meta.tenant];
-            self.out.served += 1;
-            part.served += 1;
-            tenant.served += 1;
-            part.metrics.served_by_tenant[a.meta.tenant].add(1);
-            self.out.served_by_tier[tier.index()] += 1;
-            part.served_by_tier[tier.index()] += 1;
-            part.metrics.served_by_tier[tier.index()].add(1);
-            self.out.queue_wait.record(timing.queue_wait_ns());
-            self.out.execute.record(timing.execute_ns());
-            self.out.total.record(timing.total_ns());
-            tenant.queue_wait.record(timing.queue_wait_ns());
-            tenant.total.record(timing.total_ns());
-            part.total.record(timing.total_ns());
-            if self.slos[a.meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-                part.metrics.slo_miss_by_tenant[a.meta.tenant].add(1);
-            }
-            if let Some(obs) = part.obs.as_mut() {
-                obs.scraper.record_latency(timing.total_ns());
-            }
-            if tracing {
-                let id = trace_req_id(&a.meta);
-                self.tele.record(
-                    p,
-                    TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                        .track(TRACE_PID_SCHED, a.meta.tenant as u32)
-                        .with_id(id)
-                        .arg("position", ArgValue::U64(a.position as u64))
-                        .arg("replica", ArgValue::U64(r as u64)),
-                );
-                self.tele.record(
-                    p,
-                    TraceEvent::new("req", "request", Phase::AsyncEnd, a.predicted)
-                        .track(TRACE_PID_SCHED, a.meta.tenant as u32)
-                        .with_id(id)
-                        .arg("xbar_activations", ArgValue::U64(hw_t.crossbar_activations))
-                        .arg("adc_quantizations", ArgValue::U64(hw_t.adc_quantizations))
-                        .arg("energy_fj", ArgValue::U64(hw_t.energy_fj)),
-                );
-            }
-            if self.functional {
-                inputs.push(a.input.expect("functional servers always carry inputs"));
-            }
-            items.push(ExecItem {
-                meta: a.meta,
-                timing,
-                responder: a.responder,
-            });
-        }
-
-        // Pass 3 — charge and ship the surviving batch. The scheduler's
-        // busy charge is `fill + (s-1)·steady` for the s survivors —
-        // exactly what the worker re-derives from the survivor-only
-        // batch — so `ServerReport::reconciles` holds under chaos.
-        // Availability is governed separately: a crashed replica's
-        // `free_at` was already pushed to its repair completion.
-        let s = items.len() as u64;
-        let makespan = if s == 0 {
-            0
-        } else {
-            let makespan = fill + (s - 1) * steady;
-            let part = &mut self.parts[p];
-            if crash.is_none() {
-                part.free_at[r] = start + makespan;
-            }
-            self.out.modeled_busy_ns += makespan;
-            part.modeled_busy_ns += makespan;
-            self.out.batches += 1;
-            part.batches += 1;
-            self.out.batch_sizes.record(s);
-            let (rb, ri, rbusy) = &mut part.per_replica[r];
-            *rb += 1;
-            *ri += s;
-            *rbusy += makespan;
-            let hwb = hw_t.scaled(s);
-            part.metrics.images.add(s);
-            part.metrics.xbar_activations.add(hwb.crossbar_activations);
-            part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-            part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-            part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-            part.metrics.energy_fj.add(hwb.energy_fj);
-            if tracing {
-                let pid = trace_pid(p);
-                let mut ev = TraceEvent::new("batch", "exec", Phase::Complete, start)
-                    .track(pid, trace_tid_replica(r))
-                    .dur(makespan)
-                    .arg("size", ArgValue::U64(s))
-                    .arg("trigger", ArgValue::Str(trigger))
-                    .arg("shed", ArgValue::U64(shed_here))
-                    .arg("lost", ArgValue::U64(victims.len() as u64))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj));
-                if part.brownout.is_some() {
-                    ev = ev.arg("tier", ArgValue::Str(tier.name()));
-                }
-                self.tele.record(p, ev);
-                let mut prefix = 0.0f64;
-                let mut runmax = 0.0f64;
-                let stage_lat = part.stage_lat.clone();
-                for (k, &l) in stage_lat.iter().enumerate() {
-                    let l = l * ratio;
-                    runmax = runmax.max(l);
-                    let begin = start + prefix.round() as u64;
-                    let end = start + (prefix + l + (s - 1) as f64 * runmax).round() as u64;
-                    prefix += l;
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("stage", "exec", Phase::Complete, begin)
-                            .track(pid, trace_tid_stage(r, k))
-                            .dur(end.saturating_sub(begin))
-                            .arg("stage", ArgValue::U64(k as u64))
-                            .arg("images", ArgValue::U64(s)),
-                    );
-                }
-            }
-            let part = &mut self.parts[p];
-            if let Err(failed) = part.replica_tx[r].send(ExecBatch {
-                inputs,
-                items,
-                tier,
-            }) {
-                self.out.send_failures += s;
-                for item in failed.0.items {
-                    let _ = item.responder.send(Completion {
-                        meta: item.meta,
-                        timing: item.timing,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
-            makespan
-        };
-
-        // Pass 4 — resolve every orphan: retry, hedge, or shed, never
-        // lose. The crash instant is the orphan's new "now".
-        if let Some(t) = crash {
-            for v in victims {
-                if tracing {
-                    self.tele.record(
-                        p,
-                        TraceEvent::new("fault", "request", Phase::AsyncInstant, t)
-                            .track(TRACE_PID_SCHED, v.meta.tenant as u32)
-                            .with_id(trace_req_id(&v.meta))
-                            .arg("kind", ArgValue::Str("replica-crash"))
-                            .arg("replica", ArgValue::U64(r as u64)),
-                    );
-                }
-                self.resolve_victim(chaos, p, v.meta, v.input, v.responder, t);
-            }
-        }
-        makespan
     }
 
     /// Re-serves or sheds one request orphaned at instant `now` by its
@@ -2105,22 +1943,22 @@ impl Scheduler {
     /// (bounded by the retry budget), deadline-bound ones hedge to the
     /// earliest routable sibling when the pipeline fill still fits the
     /// budget, and everything else sheds with
-    /// [`ShedReason::ReplicaLost`].
-    fn resolve_victim(
+    /// [`ShedReason::ReplicaLost`]. A hedge skips admission (it was
+    /// granted on the original dispatch) and runs as a solo batch at
+    /// full precision.
+    fn resolve_orphan(
         &mut self,
         chaos: &mut ChaosState,
         p: usize,
         meta: RequestMeta,
         input: Option<FeatureMap<i64>>,
         responder: Sender<Completion>,
-        now: u64,
+        mut now: u64,
     ) {
-        let mut now = now;
         loop {
             let attempts = chaos.attempts.entry((meta.client, meta.seq)).or_insert(0);
             if *attempts >= chaos.health.max_retries {
-                self.shed_lost(p, meta, &responder, now);
-                return;
+                break;
             }
             *attempts += 1;
             let Some(deadline) = meta.deadline_ns else {
@@ -2132,232 +1970,54 @@ impl Scheduler {
                 return;
             };
             let part = &self.parts[p];
-            let pc = &chaos.parts[p];
-            let sibling = part.free_at[..part.active]
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| pc.replicas[*i].state.routable())
-                .min_by_key(|(i, &t)| (t, *i))
-                .map(|(i, _)| i);
-            let Some(r2) = sibling else {
-                self.shed_lost(p, meta, &responder, now);
-                return;
+            let Some(r) = part.earliest_free(Some(&chaos.parts[p])) else {
+                break;
             };
-            let hstart = now.max(self.parts[p].free_at[r2]);
-            let predicted = hstart + self.parts[p].fill_ns;
-            if predicted > deadline {
-                self.shed_lost(p, meta, &responder, now);
-                return;
+            let start = now.max(part.free_at[r]);
+            let completion_ns = start + part.tier_fill_ns[ExecPrecision::Full.index()];
+            if completion_ns > deadline {
+                break;
             }
             self.out.hedges += 1;
             self.parts[p].metrics.hedges.add(1);
-            if let Some(t) = self.crash_within(chaos, p, r2, predicted) {
-                if predicted > t {
+            if let Some(t) = self.crash_within(chaos, p, r, completion_ns) {
+                if completion_ns > t {
                     // The hedge replica dies too — go around again.
-                    if self.tele.is_enabled() {
-                        self.tele.record(
-                            p,
-                            TraceEvent::new("fault", "request", Phase::AsyncInstant, t)
-                                .track(TRACE_PID_SCHED, meta.tenant as u32)
-                                .with_id(trace_req_id(&meta))
-                                .arg("kind", ArgValue::Str("replica-crash"))
-                                .arg("replica", ArgValue::U64(r2 as u64)),
-                        );
-                    }
+                    self.trace_orphan(p, &meta, r, t);
                     now = t;
                     continue;
                 }
             }
-            self.serve_hedge(p, r2, meta, input, responder, hstart, predicted);
+            let item = ExecItem {
+                meta,
+                timing: RequestTiming {
+                    arrival_ns: meta.arrival_ns,
+                    dispatch_ns: start,
+                    completion_ns,
+                },
+                responder,
+            };
+            let tier = ExecPrecision::Full;
+            self.record_served(p, &item, tier, r, 0, true);
+            let mut inputs = Vec::new();
+            if self.functional {
+                inputs.push(input.expect("functional servers always carry inputs"));
+            }
+            let items = vec![item];
+            self.ship(
+                p,
+                r,
+                start,
+                ExecBatch {
+                    inputs,
+                    items,
+                    tier,
+                },
+                BatchSpan::Hedge,
+            );
             return;
         }
-    }
-
-    /// Serves one hedged request as a solo batch on replica `r` —
-    /// admission was already granted on the original dispatch, so the
-    /// request goes straight to the chip.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_hedge(
-        &mut self,
-        p: usize,
-        r: usize,
-        meta: RequestMeta,
-        input: Option<FeatureMap<i64>>,
-        responder: Sender<Completion>,
-        start: u64,
-        completion: u64,
-    ) {
-        let tracing = self.tele.is_enabled();
-        let timing = RequestTiming {
-            arrival_ns: meta.arrival_ns,
-            dispatch_ns: start,
-            completion_ns: completion,
-        };
-        let st = &mut self.clients[meta.client];
-        if st.mode == ClientMode::Closed {
-            st.in_flight -= 1;
-            st.watermark_ns = st.watermark_ns.max(completion);
-        }
-        self.out.last_completion_ns = self.out.last_completion_ns.max(completion);
-        let part = &mut self.parts[p];
-        let tenant = &mut self.tenants[meta.tenant];
-        self.out.served += 1;
-        part.served += 1;
-        tenant.served += 1;
-        part.metrics.served_by_tenant[meta.tenant].add(1);
-        // Hedges always execute at full precision (deadline rescues).
-        self.out.served_by_tier[ExecPrecision::Full.index()] += 1;
-        part.served_by_tier[ExecPrecision::Full.index()] += 1;
-        part.metrics.served_by_tier[ExecPrecision::Full.index()].add(1);
-        self.out.queue_wait.record(timing.queue_wait_ns());
-        self.out.execute.record(timing.execute_ns());
-        self.out.total.record(timing.total_ns());
-        tenant.queue_wait.record(timing.queue_wait_ns());
-        tenant.total.record(timing.total_ns());
-        part.total.record(timing.total_ns());
-        if self.slos[meta.tenant].is_some_and(|slo| timing.total_ns() > slo) {
-            part.metrics.slo_miss_by_tenant[meta.tenant].add(1);
-        }
-        if let Some(obs) = part.obs.as_mut() {
-            obs.scraper.record_latency(timing.total_ns());
-        }
-        let makespan = part.fill_ns;
-        part.free_at[r] = part.free_at[r].max(start + makespan);
-        self.out.modeled_busy_ns += makespan;
-        part.modeled_busy_ns += makespan;
-        self.out.batches += 1;
-        part.batches += 1;
-        self.out.batch_sizes.record(1);
-        let (rb, ri, rbusy) = &mut part.per_replica[r];
-        *rb += 1;
-        *ri += 1;
-        *rbusy += makespan;
-        let hwb = part.hw.scaled(1);
-        part.metrics.images.add(1);
-        part.metrics.xbar_activations.add(hwb.crossbar_activations);
-        part.metrics.bit_phase_sweeps.add(hwb.bit_phase_sweeps);
-        part.metrics.plane_row_adds.add(hwb.plane_row_adds);
-        part.metrics.adc_quantizations.add(hwb.adc_quantizations);
-        part.metrics.energy_fj.add(hwb.energy_fj);
-        if tracing {
-            let id = trace_req_id(&meta);
-            self.tele.record(
-                p,
-                TraceEvent::new("admit", "request", Phase::AsyncInstant, start)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg("position", ArgValue::U64(0))
-                    .arg("replica", ArgValue::U64(r as u64))
-                    .arg("hedge", ArgValue::U64(1)),
-            );
-            self.tele.record(
-                p,
-                TraceEvent::new("req", "request", Phase::AsyncEnd, completion)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg(
-                        "xbar_activations",
-                        ArgValue::U64(part.hw.crossbar_activations),
-                    )
-                    .arg(
-                        "adc_quantizations",
-                        ArgValue::U64(part.hw.adc_quantizations),
-                    )
-                    .arg("energy_fj", ArgValue::U64(part.hw.energy_fj)),
-            );
-            self.tele.record(
-                p,
-                TraceEvent::new("batch", "exec", Phase::Complete, start)
-                    .track(trace_pid(p), trace_tid_replica(r))
-                    .dur(makespan)
-                    .arg("size", ArgValue::U64(1))
-                    .arg("trigger", ArgValue::Str("hedge"))
-                    .arg("shed", ArgValue::U64(0))
-                    .arg("energy_fj", ArgValue::U64(hwb.energy_fj)),
-            );
-        }
-        let inputs = if self.functional {
-            vec![input.expect("functional servers always carry inputs")]
-        } else {
-            Vec::new()
-        };
-        let items = vec![ExecItem {
-            meta,
-            timing,
-            responder,
-        }];
-        let part = &mut self.parts[p];
-        // Hedges are deadline-rescues charged the full-precision fill;
-        // they execute at full tier regardless of the controller.
-        if let Err(failed) = part.replica_tx[r].send(ExecBatch {
-            inputs,
-            items,
-            tier: ExecPrecision::Full,
-        }) {
-            self.out.send_failures += 1;
-            for item in failed.0.items {
-                let _ = item.responder.send(Completion {
-                    meta: item.meta,
-                    timing: item.timing,
-                    outcome: Outcome::Failed,
-                });
-            }
-        }
-    }
-
-    /// Sheds one request at instant `now` with
-    /// [`ShedReason::ReplicaLost`] — the terminal resolution of an
-    /// orphan whose retry budget, deadline, or sibling pool ran out.
-    fn shed_lost(&mut self, p: usize, meta: RequestMeta, responder: &Sender<Completion>, now: u64) {
-        let timing = RequestTiming {
-            arrival_ns: meta.arrival_ns,
-            dispatch_ns: now,
-            completion_ns: now,
-        };
-        let st = &mut self.clients[meta.client];
-        if st.mode == ClientMode::Closed {
-            st.in_flight -= 1;
-            st.watermark_ns = st.watermark_ns.max(now);
-        }
-        self.out.last_completion_ns = self.out.last_completion_ns.max(now);
-        let part = &mut self.parts[p];
-        let tenant = &mut self.tenants[meta.tenant];
-        self.out.shed += 1;
-        part.shed += 1;
-        tenant.shed += 1;
-        part.metrics.shed_by_tenant[meta.tenant].add(1);
-        if let Some(scaler) = part.autoscaler.as_mut() {
-            scaler.observe_shed(meta.tenant, 1);
-        }
-        if let Some(ctl) = part.brownout.as_mut() {
-            ctl.observe_shed(1);
-        }
-        self.out.shed_wait.record(timing.queue_wait_ns());
-        let reason = ShedReason::ReplicaLost;
-        self.out.sheds_by_reason[reason.index()] += 1;
-        part.metrics.shed_by_reason[reason.index()].add(1);
-        if self.tele.is_enabled() {
-            let id = trace_req_id(&meta);
-            self.tele.record(
-                p,
-                TraceEvent::new("shed", "request", Phase::AsyncInstant, now)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg("reason", ArgValue::Str(reason.as_str())),
-            );
-            self.tele.record(
-                p,
-                TraceEvent::new("req", "request", Phase::AsyncEnd, now)
-                    .track(TRACE_PID_SCHED, meta.tenant as u32)
-                    .with_id(id)
-                    .arg("outcome", ArgValue::Str("shed")),
-            );
-        }
-        let _ = responder.send(Completion {
-            meta,
-            timing,
-            outcome: Outcome::Shed,
-        });
+        self.record_shed(p, meta, responder, now, ShedReason::ReplicaLost);
     }
 
     /// End-of-session chaos flush: apply any plan events and finish any
@@ -2461,6 +2121,14 @@ fn replica_worker(
 ) -> ReplicaStats {
     let analytic = chip.pipeline_report();
     let mut stats = ReplicaStats::default();
+    // Each degraded tier's advertised bound walks every stage's compiled
+    // crossbars, so it is computed on the first batch at that tier and
+    // memoized — never per batch, and never at setup for tiers a
+    // session does not reach.
+    let mut bounds: [Option<f64>; 3] = [None; 3];
+    let mut error_bound = |tier: ExecPrecision| {
+        *bounds[tier.index()].get_or_insert_with(|| chip.truncation_error_bound(tier))
+    };
     if !functional {
         let fill = analytic.fill_latency_ns();
         let steady = analytic.steady_interval_ns();
@@ -2476,9 +2144,7 @@ fn replica_worker(
             stats.batches += 1;
             stats.images += b;
             if batch.tier != ExecPrecision::Full {
-                stats.error_bound = stats
-                    .error_bound
-                    .max(chip.truncation_error_bound(batch.tier));
+                stats.error_bound = stats.error_bound.max(error_bound(batch.tier));
             }
             for item in batch.items {
                 let _ = item.responder.send(Completion {
@@ -2523,9 +2189,7 @@ fn replica_worker(
                 stats.batches += 1;
                 stats.images += b;
                 if batch.tier != ExecPrecision::Full {
-                    stats.error_bound = stats
-                        .error_bound
-                        .max(chip.truncation_error_bound(batch.tier));
+                    stats.error_bound = stats.error_bound.max(error_bound(batch.tier));
                     let reference = golden.get_or_insert_with(|| chip.make_scratch());
                     if let Ok(exact) = chip.run_batched_with_scratch(&batch.inputs, reference) {
                         for (deg, full) in run.outputs.iter().zip(&exact.outputs) {
@@ -2601,7 +2265,9 @@ impl Server {
     ///
     /// [`ServerError::NoClients`] when `clients` is empty;
     /// [`ServerError::UnknownTenant`] when a spec names a tenant class
-    /// the config does not declare.
+    /// the config does not declare; [`ServerError::FaultTarget`] when
+    /// the armed fault plan targets a partition or replica the fleet
+    /// does not provision.
     pub fn start<S>(
         fleet: &ChipFleet,
         config: &ServerConfig,
@@ -2621,6 +2287,10 @@ impl Server {
                     tenants: config.tenants.len(),
                 });
             }
+        }
+        if let Some(plan) = &config.fault_plan {
+            let replicas: Vec<usize> = fleet.partitions().iter().map(|p| p.replicas()).collect();
+            plan.check_targets(&replicas)?;
         }
         let expected_shapes = Arc::new(
             fleet
@@ -2643,10 +2313,7 @@ impl Server {
         let mut workers = Vec::with_capacity(fleet.replicas());
         for (pi, partition) in fleet.partitions().iter().enumerate() {
             let analytic = partition.chip().pipeline_report();
-            let fill_ns = analytic.fill_latency_ns().round() as u64;
-            let steady_ns = analytic.steady_interval_ns().round() as u64;
             let stage_lat = partition.chip().stage_latency_profile_ns();
-            let hw = partition.chip().hardware_per_image();
             // Per-tier brownout pricing, computed once: analytic
             // latencies scaled by each tier's live-phase ratio (index 0
             // is the full tier — ratio 1.0 is a bit-exact multiply, so
@@ -2655,7 +2322,7 @@ impl Server {
             let mut tier_fill_ns = [0u64; 3];
             let mut tier_steady_ns = [0u64; 3];
             let mut tier_ratio = [0f64; 3];
-            let mut hw_by_tier = [hw; 3];
+            let mut hw_by_tier = [HardwarePerImage::default(); 3];
             for tier in ExecPrecision::ALL {
                 let i = tier.index();
                 let ratio = partition.chip().phase_ratio(tier);
@@ -2937,10 +2604,7 @@ impl Server {
             });
             parts.push(PartitionState {
                 former: BatchFormer::new(config.max_batch, config.max_wait_ns),
-                fill_ns,
-                steady_ns,
                 stage_lat,
-                hw,
                 tier_fill_ns,
                 tier_steady_ns,
                 tier_ratio,
@@ -2974,7 +2638,6 @@ impl Server {
         let chaos = config.fault_plan.as_ref().map(|plan| {
             let health = config.health;
             let repro = CostModel::paper_default().reprogram_cost(health.reprogram_cells);
-            let n_parts = fleet.partition_count();
             let chaos_parts = fleet
                 .partitions()
                 .iter()
@@ -2984,7 +2647,7 @@ impl Server {
                         .events()
                         .iter()
                         .enumerate()
-                        .filter(|(_, e)| e.partition.min(n_parts - 1) == pi)
+                        .filter(|(_, e)| e.partition == pi)
                         .map(|(gi, e)| (plan.event_seed(gi), *e))
                         .collect();
                     let consumed = vec![false; events.len()];

@@ -14,8 +14,8 @@ use red_sim::red_core::prelude::*;
 use red_sim::red_core::workloads::networks;
 use red_sim::red_runtime::ChipBuilder;
 use red_sim::red_server::{
-    drive, ChipFleet, ClientMode, FaultPlan, Fifo, HealthConfig, LoadMode, LoadgenConfig, Outcome,
-    Server, ServerConfig,
+    drive, policy_for, AutoscaleConfig, BrownoutConfig, ChipFleet, ClientMode, FaultPlan, Fifo,
+    HealthConfig, LoadMode, LoadgenConfig, Outcome, Server, ServerConfig, ServerError, TenantClass,
 };
 use red_sim::red_telemetry::Telemetry;
 use std::sync::OnceLock;
@@ -299,4 +299,114 @@ fn faulted_session_replays_byte_identically() {
         trace_a, trace_b,
         "the faulted telemetry timeline must replay byte-for-byte"
     );
+}
+
+/// Fault targets are validated, not clamped: a plan naming a partition
+/// the fleet does not host, or a replica beyond its partition's
+/// provisioned count, is rejected at start with the offending event.
+#[test]
+fn out_of_range_fault_targets_are_rejected_at_start() {
+    let (fleet, _) = shared_fleet();
+    let start = |plan: FaultPlan| {
+        let config = ServerConfig::new().model_only().fault_plan(plan);
+        Server::start(fleet, &config, &[ClientMode::Open]).map(|_| ())
+    };
+    let err = start(FaultPlan::parse("crash:10:99:7", 1).unwrap()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServerError::FaultTarget {
+                event: 0,
+                kind: "crash",
+                partition: 99,
+                replica: None,
+                available: 1,
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("targets partition 99"), "{err}");
+    let plan = FaultPlan::new(1)
+        .crash(10, 0, 1)
+        .strikes(20, 0, 2, 8)
+        .stall(30, 0, 5, 100);
+    let err = start(plan).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServerError::FaultTarget {
+                event: 1,
+                kind: "strike",
+                partition: 0,
+                replica: Some(2),
+                available: 2,
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(start(FaultPlan::new(1).crash(10, 0, 1).stall(30, 0, 0, 100)).is_ok());
+}
+
+/// An armed but empty fault plan serves exactly like no plan: the one
+/// dispatch path's chaos branches (routable-replica pick, crash
+/// lookahead, retry-aware lifecycle spans, canary probes of healthy
+/// witnesses) must not move a single modeled figure. Drives the
+/// three-network weighted-fair fleet of the committed loadgen baseline,
+/// at its offered load and at ~1.6x that load with brownout armed.
+#[test]
+fn an_empty_fault_plan_serves_exactly_like_no_plan() {
+    let lineup = networks::serving_lineup(8).unwrap();
+    let parts = lineup
+        .iter()
+        .map(|stack| {
+            let chip = ChipBuilder::new()
+                .design(Design::red(RedLayoutPolicy::Auto))
+                .compile_seeded(stack, 5, 42)
+                .unwrap();
+            (chip, 2)
+        })
+        .collect();
+    let fleet = ChipFleet::multi(parts).unwrap();
+    let tenants: Vec<TenantClass> = ["interactive:4:0:200", "standard:2:1:800", "batch:1:2:0"]
+        .iter()
+        .map(|spec| TenantClass::parse(spec).unwrap())
+        .collect();
+    let policy = policy_for("weighted-fair", &tenants, 50_000).unwrap();
+    for (rps, brownout) in [(600_000.0, false), (960_000.0, true)] {
+        let mut config = ServerConfig::new()
+            .max_batch(8)
+            .max_wait_ns(50_000)
+            .policy_arc(policy.clone())
+            .tenants(tenants.clone())
+            .model_only()
+            .autoscale(AutoscaleConfig {
+                min_replicas: 1,
+                cooldown_ns: 500_000,
+                ..AutoscaleConfig::default()
+            });
+        if brownout {
+            config = config.brownout(BrownoutConfig::default());
+        }
+        let load = LoadgenConfig {
+            mode: LoadMode::Open { rps },
+            clients: 12,
+            requests: 50_000,
+            horizon_ns: None,
+            slo_ns: None,
+            seed: 7,
+            stream: true,
+        };
+        let no_plan = drive(&fleet, &config, &load, &[]).unwrap();
+        let empty = drive(&fleet, &config.fault_plan(FaultPlan::new(7)), &load, &[]).unwrap();
+        assert!(no_plan.shed > 0, "the load must exercise admission sheds");
+        let (a, b) = (format!("{no_plan:?}"), format!("{empty:?}"));
+        let at = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
+        assert!(
+            a == b,
+            "rps {rps}, brownout {brownout}: reports diverge at byte {at:?}: \
+             no plan `{}` vs empty plan `{}`",
+            &a[at.unwrap_or(0).saturating_sub(80)..(at.unwrap_or(0) + 80).min(a.len())],
+            &b[at.unwrap_or(0).saturating_sub(80)..(at.unwrap_or(0) + 80).min(b.len())],
+        );
+    }
 }
